@@ -682,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="threads",
         choices=["threads", "processes", "remote"],
         help="shard fan-out backend: 'threads' runs shard queries on the "
-        "executor thread pool (GIL-bound verification); 'processes' runs "
+        "engine's shard thread pool (GIL-bound verification); 'processes' runs "
         "one worker process per shard; 'remote' connects to standalone "
         "'repro worker' nodes listed in --shard-map (default: threads)",
     )

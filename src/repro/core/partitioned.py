@@ -79,7 +79,8 @@ class _GlobalDatasetView:
     ``g // num_shards`` on shard ``g % num_shards``.  That is all a
     whole-corpus consumer — e.g. the top-k exhaustion sweep — needs, so
     this view exposes the single-node dataset surface it reads
-    (``len()`` + ``symbols``) without materializing a merged copy.
+    (``len()`` + ``symbols`` + ``alphabet_size``) without materializing a
+    merged copy.
     """
 
     __slots__ = ("_owner",)
@@ -93,6 +94,9 @@ class _GlobalDatasetView:
     def symbols(self, tid: int):
         n = self._owner.num_shards
         return self._owner._shards[tid % n].symbols(tid // n)
+
+    def alphabet_size(self) -> int:
+        return self._owner._shards[0].alphabet_size()
 
 
 class PartitionedSubtrajectorySearch:

@@ -189,9 +189,11 @@ def topk_search(
     """
     if k <= 0:
         raise QueryError("k must be positive")
-    if growth <= 1.0:
+    # Written so NaN fails them too: a NaN growth would never reach the
+    # exhaustion bound and the expansion loop would never end.
+    if not growth > 1.0:
         raise QueryError("growth must exceed 1")
-    if initial_tau_ratio <= 0:
+    if not initial_tau_ratio > 0:
         raise QueryError("initial_tau_ratio must be positive")
     costs, dataset = _engine_surfaces(engine)
     total_ins = sum(costs.ins(q) for q in query)

@@ -407,6 +407,7 @@ class _ShardWorker:
         self._process.start()
         child_conn.close()
         self._conn = parent_conn
+        self._pipe_broken = False
         # Block until the worker reports its engine built (req 0); engine
         # construction errors re-raise here with their original type.
         return self._receive(0, None)
@@ -457,7 +458,10 @@ class _ShardWorker:
 
     @property
     def alive(self) -> bool:
-        return self._process.is_alive()
+        # A dying worker's pipe reaches EOF before waitpid can reap it, so
+        # a broken pipe is death as far as serving goes: liveness reports
+        # the failure a request saw, not a later process-table snapshot.
+        return not self._pipe_broken and self._process.is_alive()
 
     @property
     def pid(self) -> Optional[int]:
@@ -492,6 +496,7 @@ class _ShardWorker:
             self._conn.send((kind, req_id, *payload))
             return self._receive(req_id, None)
         except (OSError, ValueError) as exc:
+            self._pipe_broken = True
             raise WorkerError(
                 f"shard {self.index} worker unreachable: {exc}"
             ) from exc
@@ -515,6 +520,7 @@ class _ShardWorker:
         except BaseException as exc:
             self._lock.release()
             if isinstance(exc, (OSError, ValueError)):
+                self._pipe_broken = True
                 raise WorkerError(
                     f"shard {self.index} worker unreachable: {exc}"
                 ) from exc
@@ -543,6 +549,7 @@ class _ShardWorker:
                 ready = self._conn.poll(_POLL_SECONDS)
                 reply = self._conn.recv() if ready else None
             except (EOFError, OSError) as exc:
+                self._pipe_broken = True
                 raise WorkerError(
                     f"shard {self.index} worker died mid-request"
                 ) from exc
@@ -1315,9 +1322,11 @@ class ShardWorkerPool:
         self._check_open()
         breaker = self._breakers[shard]
         if not breaker.allow():
-            raise ShardUnavailableError(
+            exc = ShardUnavailableError(
                 f"shard {shard} circuit breaker is {breaker.state}"
             )
+            exc.shards = (shard,)
+            raise exc
         worker = self._workers[shard]
 
         def attempt():
@@ -1327,6 +1336,7 @@ class ShardWorkerPool:
         try:
             result = attempt()
         except WorkerError as exc:
+            exc.shards = (shard,)
             failed_gen = worker.restarts
             self._note_shard_failure(shard, exc)
             if not self._retry_budget_left(cancel) or not self._try_respawn(
@@ -1338,6 +1348,7 @@ class ShardWorkerPool:
             try:
                 result = attempt()
             except WorkerError as retry_exc:
+                retry_exc.shards = (shard,)
                 self._note_shard_failure(shard, retry_exc)
                 raise
         breaker.record_success()
@@ -1409,8 +1420,9 @@ class ShardWorkerPool:
         degraded: List[bool] = [False] * n
         first_error: Optional[BaseException] = None
 
-        def fail_shard(shard: int, exc: BaseException) -> None:
+        def fail_shard(shard: int, exc: WorkerError) -> None:
             nonlocal first_error
+            exc.shards = (shard,)
             if allow_partial:
                 degraded[shard] = True
                 emit(shard, "degraded")
@@ -1513,10 +1525,12 @@ class ShardWorkerPool:
         if allow_partial and all(
             degraded[i] or results[i] is None for i in range(n)
         ):
-            raise ShardUnavailableError(
+            exc = ShardUnavailableError(
                 "every shard is unavailable (nothing to serve a partial "
                 "result from)"
             )
+            exc.shards = tuple(range(n))
+            raise exc
         return results
 
     def _drain(self, pending: List[Optional[int]], cancel) -> None:

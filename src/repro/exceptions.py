@@ -7,6 +7,8 @@ still distinguishing configuration problems from data problems.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -61,7 +63,13 @@ class QueryCancelledError(ServiceError):
 
 class WorkerError(ServiceError):
     """Raised when a shard worker process fails: it died mid-request, its
-    pipe desynchronized, or a replicated update diverged from the parent."""
+    pipe desynchronized, or a replicated update diverged from the parent.
+
+    ``shards`` names the shards whose failure the raising fan-out saw
+    (empty when the error is not tied to a shard), so a report of the
+    failure never has to re-derive it from a later health snapshot."""
+
+    shards: Tuple[int, ...] = ()
 
 
 class ShardUnavailableError(WorkerError):

@@ -1,9 +1,12 @@
 """LRU result cache for the serving layer.
 
 Keys are the normalized query signatures of
-:func:`repro.core.engine.query_signature`: two requests with the same
-signature are guaranteed the same answer *on an unchanged dataset*, so a
-cached :class:`~repro.core.engine.QueryResult` can be returned verbatim.
+:func:`repro.core.engine.query_signature` (range) and
+:func:`repro.core.engine.topk_signature` (top-k): two requests with the
+same signature are guaranteed the same answer *on an unchanged dataset*,
+so a cached :class:`~repro.core.engine.QueryResult` can be returned
+verbatim, and a cached :class:`~repro.core.topk.TopKResult` computed at
+``k' >= k`` answers ``k`` by truncation (:meth:`ResultCache.get_topk`).
 The "unchanged dataset" part is the caller's contract — the serving
 facade clears the cache on every online update (insert today, delete when
 the engine grows one), and exposes :meth:`ResultCache.invalidate` for
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, Optional
+from typing import Any, Callable, Hashable, Optional
 
 __all__ = ["ResultCache"]
 
@@ -65,10 +68,22 @@ class ResultCache:
 
     def get(self, key: Hashable) -> Optional[Any]:
         """The cached value, refreshing its recency — or ``None``."""
+        return self._lookup(key)
+
+    def get_topk(self, key: Hashable, k: int):
+        """The cached top-k answer re-cut to ``k``
+        (:meth:`~repro.core.topk.TopKResult.at_k`) — or ``None`` when no
+        entry exists or the stored one is too shallow to cover ``k``
+        (counted as a miss either way: the caller must compute)."""
+        entry = self._lookup(key, lambda stored: stored.covers(k))
+        return None if entry is None else entry.at_k(k)
+
+    def _lookup(
+        self, key: Hashable, usable: Optional[Callable[[Any], bool]] = None
+    ) -> Optional[Any]:
         with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
+            value = self._data.get(key)
+            if value is None or (usable is not None and not usable(value)):
                 self.misses += 1
                 return None
             self._data.move_to_end(key)
@@ -76,63 +91,31 @@ class ResultCache:
             return value
 
     def put(
-        self, key: Hashable, value: Any, *, generation: Optional[int] = None
+        self,
+        key: Hashable,
+        value: Any,
+        *,
+        generation: Optional[int] = None,
+        keep: Optional[Callable[[Any], bool]] = None,
     ) -> None:
         """Insert (or refresh) one entry, evicting LRU entries beyond
         capacity.
 
         When ``generation`` is given and a :meth:`clear` happened since it
         was captured, the value is stale (computed against the
-        pre-invalidation dataset) and the put is dropped."""
-        if self._capacity == 0:
-            return
-        with self._lock:
-            if generation is not None and generation != self._generation:
-                return
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self._capacity:
-                self._data.popitem(last=False)
-
-    # -- top-k reuse --------------------------------------------------------
-    #
-    # Top-k entries are keyed on repro.core.engine.topk_signature — which
-    # deliberately excludes k — and hold a TopKResult.  The reuse rule: a
-    # cached answer computed at k' covers a request for k when k <= k', or
-    # when the stored answer already ranks the entire dataset (no deeper
-    # answer exists); serving is then a truncation (TopKResult.at_k), so a
-    # k'-deep computation pays for every shallower repeat.
-
-    def get_topk(self, key: Hashable, k: int):
-        """The cached top-k answer re-cut to ``k`` — or ``None`` when no
-        entry exists or the stored one is too shallow to cover ``k``
-        (counted as a miss either way: the caller must compute)."""
-        with self._lock:
-            entry = self._data.get(key)
-            if entry is None or not entry.covers(k):
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return entry.at_k(k)
-
-    def put_topk(
-        self, key: Hashable, value: Any, *, generation: Optional[int] = None
-    ) -> None:
-        """Insert one top-k answer unless an existing entry already covers
-        it — a deeper (or full-ranking) answer must never be replaced by a
-        shallower one computed concurrently.  Same generation guard as
-        :meth:`put`."""
+        pre-invalidation dataset) and the put is dropped.  When ``keep``
+        is given and returns True for the entry already stored under
+        ``key``, that entry stays (its recency refreshed) — the top-k
+        rule that a deeper answer is never replaced by a shallower one
+        computed concurrently."""
         if self._capacity == 0:
             return
         with self._lock:
             if generation is not None and generation != self._generation:
                 return
             existing = self._data.get(key)
-            if existing is not None and existing.covers(value.k):
-                self._data.move_to_end(key)
-                return
-            self._data[key] = value
+            if existing is None or keep is None or not keep(existing):
+                self._data[key] = value
             self._data.move_to_end(key)
             while len(self._data) > self._capacity:
                 self._data.popitem(last=False)

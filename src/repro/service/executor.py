@@ -1,15 +1,12 @@
 """Query execution on a thread pool, with deadlines and admission control.
 
-:class:`Executor` owns the worker pool for one service instance.  A
-:class:`~repro.core.partitioned.PartitionedSubtrajectorySearch` engine on
-the ``serial`` backend is fanned out *per shard* (via the per-shard
-callables the engine exposes), so one query's shards run concurrently
-and a slow shard only delays its own query.  Engines that parallelize
-internally — the ``threads`` backend (its own shard thread pool) and the
-``processes`` backend (one worker process per shard) — run as a single
-pool task: the pool thread coordinates while the engine's own machinery
-burns the CPU.  A plain :class:`~repro.core.engine.SubtrajectorySearch`
-runs as a single pool task too.  Two protections keep the pool healthy
+:class:`Executor` owns the worker pool for one service instance.  Each
+admitted request — a range query or a whole top-k threshold loop — runs
+as one pool task; shard fan-out belongs to the engine alone (the
+``threads`` backend's shard thread pool, one worker process or remote
+node per shard on the ``processes`` / ``remote`` backends, inline on the
+``serial`` backend), so the pool thread coordinates while the engine's
+own machinery burns the CPU.  Two protections keep the pool healthy
 under overload:
 
 - *admission control*: at most ``max_pending`` queries may be in flight;
@@ -20,25 +17,24 @@ under overload:
   execution, carried by a :class:`~repro.core.cancellation.CancelToken`
   that is threaded into every shard's verification loop.  When the budget
   expires the caller gets
-  :class:`~repro.exceptions.DeadlineExceededError`, not-yet-started shard
-  tasks are cancelled, and — via the token — already-running tasks stop
-  cooperatively within one verification-loop iteration instead of
-  running to completion (this works across the process boundary as well:
-  workers rebuild the deadline locally and poll a shared flag).
+  :class:`~repro.exceptions.DeadlineExceededError`, and — via the token —
+  the running task stops cooperatively within one verification-loop
+  iteration instead of running to completion (this works across the
+  process boundary as well: workers rebuild the deadline locally and poll
+  a shared flag).
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
-from time import monotonic
-from typing import List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
+from repro.core import topk as _topk
 from repro.core.cancellation import CancelToken
 from repro.core.engine import QueryResult
 from repro.core.partitioned import PartitionedSubtrajectorySearch
-from repro.core.temporal import TemporalMode, TimeInterval
 from repro.exceptions import (
     AdmissionError,
     DeadlineExceededError,
@@ -56,13 +52,10 @@ class Executor:
     engine:
         A :class:`SubtrajectorySearch` or
         :class:`PartitionedSubtrajectorySearch` (anything exposing
-        ``query``; shard fan-out additionally needs
-        ``shard_query_callables`` / ``merge_shard_results``).
+        ``query``; top-k additionally needs ``costs`` / ``dataset``).
     max_workers:
-        Pool size.  For a serial-backend partitioned engine, sizing this
-        at or above the shard count lets a single query use every shard
-        concurrently; threads/processes-backend engines need only one
-        pool thread per in-flight query.
+        Pool size: the number of queries that execute at once (each one
+        is a single pool task).
     max_pending:
         Admission limit on concurrently in-flight *queries* (not shard
         tasks).
@@ -86,14 +79,6 @@ class Executor:
         if default_deadline is not None and default_deadline <= 0:
             raise ValueError("default_deadline must be positive")
         self._engine = engine
-        # Per-shard fan-out on THIS pool only for engines with no fan-out
-        # machinery of their own (the serial backend).  The threads and
-        # processes backends parallelize inside engine.query(), so the
-        # whole query is one pool task there.
-        self._fan_out = (
-            isinstance(engine, PartitionedSubtrajectorySearch)
-            and engine.backend == "serial"
-        )
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
@@ -147,16 +132,14 @@ class Executor:
         self,
         query: Sequence[int],
         *,
-        tau: Optional[float] = None,
-        tau_ratio: Optional[float] = None,
-        time_interval: Optional[TimeInterval] = None,
-        temporal_filter: bool = True,
-        temporal_mode: TemporalMode = "overlap",
         deadline: Optional[float] = None,
         trace=None,
         allow_partial: bool = False,
+        **engine_kwargs: Any,
     ) -> QueryResult:
-        """Execute one query on the pool and return its merged result.
+        """Execute one range query on the pool and return its result;
+        ``engine_kwargs`` (``tau`` / ``tau_ratio``, the temporal window,
+        ...) go to the engine's ``query``.
 
         Raises :class:`AdmissionError` when shed and
         :class:`DeadlineExceededError` when the budget (``deadline``
@@ -166,11 +149,54 @@ class Executor:
         per-shard and per-stage spans under ``execute``.
 
         ``allow_partial`` opts the query into graceful degradation and is
-        forwarded to partitioned engines (meaningful on the processes
-        backend, where a shard worker can die independently; in-process
-        engines never degrade, so elsewhere it is inert — including the
-        serial-backend fan-out this executor runs itself).
+        forwarded to partitioned engines (meaningful on the processes and
+        remote backends, where a shard worker can die independently;
+        in-process engines never degrade, so elsewhere it is inert).
         """
+        if allow_partial and isinstance(
+            self._engine, PartitionedSubtrajectorySearch
+        ):
+            engine_kwargs["allow_partial"] = True
+        return self._run(
+            self._engine.query, (query,), engine_kwargs, deadline, trace
+        )
+
+    def topk(
+        self,
+        query: Sequence[int],
+        k: int,
+        *,
+        deadline: Optional[float] = None,
+        trace=None,
+        **topk_kwargs: Any,
+    ):
+        """Execute one top-k query on the pool; same admission control and
+        deadline semantics as :meth:`query`.  ``topk_kwargs``
+        (``initial_tau_ratio`` / ``growth`` / ``allow_partial``) go to
+        :func:`repro.core.topk.topk_search`.
+
+        The whole tau-doubling loop is one pool task: each round is one
+        ``engine.query``, fanned out by the engine's backend.  The deadline
+        token is threaded through every probe round *and* the exhaustion
+        sweep, so an expired budget stops within one verification
+        iteration or one swept trajectory.
+        """
+        return self._run(
+            _topk.topk_search, (self._engine, query, k), topk_kwargs,
+            deadline, trace, mode="topk",
+        )
+
+    def _run(
+        self,
+        call: Callable[..., Any],
+        args: tuple,
+        kwargs: Dict[str, Any],
+        deadline: Optional[float],
+        trace,
+        **span_attrs: Any,
+    ):
+        """Admit, then run ``call(*args, cancel=token, **kwargs)`` as one
+        pool task under the deadline, inside an ``execute`` span."""
         if deadline is not None and deadline <= 0:
             # A malformed request, not a missed deadline: report it as
             # such instead of polluting the deadline-miss metric.
@@ -189,119 +215,17 @@ class Executor:
         try:
             budget = deadline if deadline is not None else self._default_deadline
             token = CancelToken(budget)
-            kwargs = dict(
-                tau=tau,
-                tau_ratio=tau_ratio,
-                time_interval=time_interval,
-                temporal_filter=temporal_filter,
-                temporal_mode=temporal_mode,
-            )
             exec_span = (
-                None if trace is None
-                else trace.child("execute", fan_out=self._fan_out)
+                None if trace is None else trace.child("execute", **span_attrs)
             )
+            if exec_span is not None:
+                kwargs["trace"] = exec_span
             try:
-                if self._fan_out:
-                    calls = self._engine.shard_query_callables(
-                        query, cancel=token, trace=exec_span, **kwargs
-                    )
-                    futures = [self._pool.submit(call) for call in calls]
-                    results = self._gather(futures, token)
-                    merged = self._engine.merge_shard_results(results)
-                    if exec_span is not None:
-                        exec_span.set("shards", len(calls))
-                        exec_span.set("matches", len(merged.matches))
-                        exec_span.set("candidates", merged.num_candidates)
-                    return merged
-                if exec_span is not None:
-                    kwargs["trace"] = exec_span
-                if allow_partial and isinstance(
-                    self._engine, PartitionedSubtrajectorySearch
-                ):
-                    kwargs["allow_partial"] = True
-                future = self._pool.submit(
-                    self._engine.query, query, cancel=token, **kwargs
-                )
-                return self._gather([future], token)[0]
+                future = self._pool.submit(call, *args, cancel=token, **kwargs)
+                return self._wait(future, token)
             except RuntimeError as exc:
                 # Admitted concurrently with close(): the pool refuses new
                 # futures.  Report it as the shed it is, not a 500.
-                if "shutdown" in str(exc):
-                    raise AdmissionError("service is shutting down") from None
-                raise
-            except BaseException as exc:
-                if exec_span is not None:
-                    exec_span.set("error", type(exc).__name__)
-                raise
-            finally:
-                if exec_span is not None:
-                    exec_span.finish()
-        finally:
-            with self._lock:
-                self._pending -= 1
-
-    def topk(
-        self,
-        query: Sequence[int],
-        k: int,
-        *,
-        initial_tau_ratio: float = 0.05,
-        growth: float = 2.0,
-        deadline: Optional[float] = None,
-        trace=None,
-        allow_partial: bool = False,
-    ):
-        """Execute one top-k query on the pool; same admission control and
-        deadline semantics as :meth:`query`.
-
-        The whole tau-doubling loop runs as one pool task — the loop owns
-        its probe fan-out (each round is one ``engine.query``, which the
-        threads/processes/remote backends parallelize internally, and the
-        serial backend runs inline: a probe is already a full-corpus pass,
-        so there is nothing for this pool to split).  The deadline token
-        is threaded through every probe round *and* the exhaustion sweep,
-        so an expired budget stops within one verification iteration or
-        one swept trajectory.
-        """
-        if deadline is not None and deadline <= 0:
-            raise ValueError("deadline must be positive")
-        if trace is None:
-            self._admit()
-        else:
-            span = trace.child("admission", pending=self.pending)
-            try:
-                self._admit()
-            except BaseException as exc:
-                span.set("error", type(exc).__name__)
-                raise
-            finally:
-                span.finish()
-        try:
-            budget = deadline if deadline is not None else self._default_deadline
-            token = CancelToken(budget)
-            exec_span = (
-                None if trace is None else trace.child("execute", mode="topk")
-            )
-            try:
-                from repro.core.topk import topk_search
-
-                future = self._pool.submit(
-                    topk_search,
-                    self._engine,
-                    query,
-                    k,
-                    initial_tau_ratio=initial_tau_ratio,
-                    growth=growth,
-                    cancel=token,
-                    allow_partial=allow_partial,
-                    trace=exec_span,
-                )
-                result = self._gather([future], token)[0]
-                if exec_span is not None:
-                    exec_span.set("matches", len(result.matches))
-                    exec_span.set("tau_rounds", result.tau_rounds)
-                return result
-            except RuntimeError as exc:
                 if "shutdown" in str(exc):
                     raise AdmissionError("service is shutting down") from None
                 raise
@@ -329,37 +253,18 @@ class Executor:
             self._pending += 1
 
     @staticmethod
-    def _gather(futures: List[Future], token: CancelToken) -> List[QueryResult]:
-        """Collect futures in submission order, honouring the deadline.
+    def _wait(future, token: CancelToken):
+        """The future's result, honouring the deadline.
 
-        On expiry the shared token is tripped first — running shard tasks
-        observe it inside their verification loops and stop within one
-        iteration — then unstarted futures are cancelled and the caller
-        gets :class:`DeadlineExceededError`.  A shard that noticed its own
+        On expiry the token is tripped — the running task observes it
+        inside its verification loop and stops within one iteration — the
+        future is cancelled if it has not started, and the caller gets
+        :class:`DeadlineExceededError`.  A task that noticed its own
         deadline first (raising :class:`QueryCancelledError`) is folded
         into the same outcome."""
-        expires = token.expires
-        results: List[QueryResult] = []
         try:
-            for future in futures:
-                remaining = None if expires is None else expires - monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise _FutureTimeout()
-                results.append(future.result(timeout=remaining))
+            return future.result(timeout=token.remaining())
         except (_FutureTimeout, TimeoutError, QueryCancelledError):
-            token.cancel()  # stop in-flight shard work cooperatively
-            for future in futures:
-                future.cancel()
-            raise DeadlineExceededError(
-                f"query missed its deadline ({len(results)}/{len(futures)} "
-                "shard results arrived in time)"
-            ) from None
-        except BaseException:
-            # Any other shard failure dooms the whole query: stop the
-            # siblings too instead of letting them verify to completion on
-            # pool threads whose admission slot is already released.
             token.cancel()
-            for future in futures:
-                future.cancel()
-            raise
-        return results
+            future.cancel()
+            raise DeadlineExceededError("query missed its deadline") from None

@@ -31,12 +31,14 @@ API surface (all bodies JSON):
   [...]?}`` → online insert; invalidates the result cache.  Paths are
   validated as graph walks by default (``"validate": false`` opts out).
 
-Error mapping: malformed requests → 400, admission shed → 429, missed
-deadline → 504, shard worker down/unavailable (and the client did not
-opt into a partial answer) → 503.  503 bodies carry the currently
-unhealthy ``degraded_shards`` plus a ``Retry-After`` header derived from
-the soonest breaker cooldown, so clients back off for exactly as long as
-the supervisor needs.
+Error mapping: malformed requests → 400 (including non-finite or
+out-of-range numbers and path symbols that are not integers in
+``[0, alphabet size)``), admission shed → 429, missed deadline → 504,
+shard worker down/unavailable (and the client did not opt into a partial
+answer) → 503.  503 bodies carry the ``degraded_shards`` whose failure
+the request saw plus a ``Retry-After`` header derived from the soonest
+breaker cooldown, so clients back off for exactly as long as the
+supervisor needs.
 """
 
 from __future__ import annotations
@@ -67,22 +69,19 @@ logger = logging.getLogger(__name__)
 _MAX_BODY = 16 * 1024 * 1024
 
 
-def response_payload(response: ServiceResponse, *, limit: Optional[int] = None) -> Dict[str, Any]:
-    """The JSON shape of one answered query (shared with the CLI)."""
+def _match_row(m) -> Dict[str, Any]:
+    return {
+        "trajectory": m.trajectory_id,
+        "start": m.start,
+        "end": m.end,
+        "distance": m.distance,
+    }
+
+
+def _provenance(response: ServiceResponse) -> Dict[str, Any]:
+    """The serving fields every answered request carries."""
     result = response.result
-    matches = result.matches if limit is None else result.matches[:limit]
     payload = {
-        "tau": result.tau,
-        "matches": [
-            {
-                "trajectory": m.trajectory_id,
-                "start": m.start,
-                "end": m.end,
-                "distance": m.distance,
-            }
-            for m in matches
-        ],
-        "total_matches": len(result.matches),
         "candidates": result.num_candidates,
         "cached": response.cached,
         "coalesced": response.coalesced,
@@ -93,6 +92,18 @@ def response_payload(response: ServiceResponse, *, limit: Optional[int] = None) 
     if not result.complete:
         payload["degraded_shards"] = list(result.degraded_shards)
     return payload
+
+
+def response_payload(response: ServiceResponse, *, limit: Optional[int] = None) -> Dict[str, Any]:
+    """The JSON shape of one answered query (shared with the CLI)."""
+    result = response.result
+    matches = result.matches if limit is None else result.matches[:limit]
+    return {
+        "tau": result.tau,
+        "matches": [_match_row(m) for m in matches],
+        "total_matches": len(result.matches),
+        **_provenance(response),
+    }
 
 
 def topk_payload(
@@ -106,16 +117,10 @@ def topk_payload(
     dropped (0 = the ranking boundary is strict)."""
     result = response.result
     matches = result.matches if limit is None else result.matches[:limit]
-    payload = {
+    return {
         "k": result.k,
         "results": [
-            {
-                "rank": rank,
-                "trajectory": m.trajectory_id,
-                "start": m.start,
-                "end": m.end,
-                "distance": m.distance,
-            }
+            {"rank": rank, **_match_row(m)}
             for rank, m in enumerate(matches, start=1)
         ],
         "total_results": len(result.matches),
@@ -123,16 +128,8 @@ def topk_payload(
         "tau_rounds": result.tau_rounds,
         "tau_final": result.tau_final,
         "swept": result.swept,
-        "candidates": result.num_candidates,
-        "cached": response.cached,
-        "coalesced": response.coalesced,
-        "seconds": response.seconds,
-        "engine_seconds": result.total_seconds,
-        "partial": not result.complete,
+        **_provenance(response),
     }
-    if not result.complete:
-        payload["degraded_shards"] = list(result.degraded_shards)
-    return payload
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -179,24 +176,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_unavailable(self, service: QueryService, exc: WorkerError) -> None:
-        """One shard-unavailability 503: the body names the shards that
-        are currently down or breaker-gated (``degraded_shards``) and the
-        ``Retry-After`` header tells the client how long the soonest open
-        breaker keeps rejecting — retrying sooner is guaranteed wasted."""
-        payload: Dict[str, Any] = {"error": str(exc)}
-        engine = service.engine
+        """One shard-unavailability 503: the body names the shards whose
+        failure this request saw (``degraded_shards``, carried on the
+        error itself — a later health snapshot can race a dying worker's
+        reaping) and the ``Retry-After`` header tells the client how long
+        the soonest open breaker keeps rejecting — retrying sooner is
+        guaranteed wasted."""
         retry_after = 0.0
-        states_of = getattr(engine, "worker_states", None)
-        if states_of is not None:
-            try:
-                payload["degraded_shards"] = sorted(
-                    s.shard
-                    for s in states_of()
-                    if not s.alive or s.breaker != "closed"
-                )
-            except Exception:  # noqa: BLE001 — the 503 itself must go out
-                pass
-        retry_of = getattr(engine, "retry_after", None)
+        retry_of = getattr(service.engine, "retry_after", None)
         if retry_of is not None:
             try:
                 retry_after = float(retry_of())
@@ -205,7 +192,11 @@ class _Handler(BaseHTTPRequestHandler):
         # Retry-After is integral delta-seconds; a dead-but-unbroken shard
         # (cooldown 0) still wants a beat for the supervisor's respawn.
         seconds = max(1, math.ceil(retry_after)) if retry_after > 0 else 1
-        payload["retry_after"] = seconds
+        payload = {
+            "error": str(exc),
+            "degraded_shards": sorted(exc.shards),
+            "retry_after": seconds,
+        }
         self._send_json(503, payload, headers={"Retry-After": str(seconds)})
 
     def _read_body(self) -> Dict[str, Any]:
@@ -222,105 +213,16 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routes -------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802
-        service: QueryService = self.server.service  # type: ignore[attr-defined]
-        parsed = urlsplit(self.path)
-        path = parsed.path
-        try:
-            if path == "/healthz":
-                engine = service.engine
-                count = (
-                    len(engine.dataset) if hasattr(engine, "dataset") else len(engine)
-                )
-                payload = {
-                    "status": "ok",
-                    "trajectories": count,
-                    "shards": getattr(engine, "num_shards", 1),
-                    "backend": getattr(engine, "backend", "single"),
-                    "dp_backend": getattr(engine, "dp_backend", "auto"),
-                }
-                # Cache-hit observability for repeated-query traffic
-                # (substitution rows and warm verification tries), read
-                # as ONE combined snapshot so the processes backend's
-                # non-blocking worker poll runs once per probe; busy
-                # workers are skipped (the probe must not queue behind a
-                # long verification), and a failing poll (dead worker,
-                # closing engine) degrades the fields rather than the
-                # probe — /healthz answers liveness, not shard health.
-                cache_stats = getattr(engine, "cache_stats", None)
-                if cache_stats is not None:
-                    try:
-                        combined = cache_stats()
-                        payload["substitution_cache"] = combined["substitution"]
-                        payload["trie_cache"] = combined["trie"]
-                        # Index backend, bytes, and (for a frozen mmap)
-                        # page-cache residency — same single snapshot.
-                        if "index" in combined:
-                            payload["index"] = combined["index"]
-                    except Exception as exc:  # noqa: BLE001
-                        payload["substitution_cache"] = {"error": str(exc)}
-                        payload["trie_cache"] = {"error": str(exc)}
-                        payload["index"] = {"error": str(exc)}
-                # Per-shard worker supervision state: a dead worker (or an
-                # open breaker) is visible here *before* a query hits it,
-                # and flips the top-level status to "degraded" (still 200
-                # — the server itself is up and can serve partial/other
-                # shards; monitoring alerts on the field, load balancers
-                # on the process).
-                worker_states = getattr(engine, "worker_states", None)
-                if worker_states is not None:
-                    try:
-                        states = worker_states()
-                        payload["workers"] = [s.to_dict() for s in states]
-                        payload["restarts_total"] = sum(s.restarts for s in states)
-                        if any(
-                            not s.alive or s.breaker != "closed" for s in states
-                        ):
-                            payload["status"] = "degraded"
-                    except Exception as exc:  # noqa: BLE001
-                        payload["workers"] = [{"error": str(exc)}]
-                self._send_json(200, payload)
-            elif path == "/stats":
-                self._send_json(200, service.stats())
-            elif path == "/metrics":
-                # Prometheus text exposition.  The registry renders push
-                # instruments and pull collectors; the engine-cache
-                # collector polls processes-backend workers WITHOUT
-                # blocking, so a scrape never queues behind a
-                # long-running query.
-                self._send_text(
-                    200,
-                    service.observability.registry.render(),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            elif path == "/debug/traces":
-                self._handle_traces(service, parse_qs(parsed.query))
-            else:
-                self._send_json(404, {"error": f"unknown path {self.path!r}"})
-        except WorkerError as exc:
-            # Stats polling crosses worker pipes on the processes backend;
-            # a dead shard is a (usually transient — the supervisor is
-            # respawning it) availability failure: 503 so clients retry.
-            logger.error("shard worker failure serving %s: %s", self.path, exc)
-            self._send_unavailable(service, exc)
-        except (ValueError, ReproError) as exc:
-            self._send_json(400, {"error": str(exc)})
-        except Exception as exc:  # noqa: BLE001 - keep-alive clients need a
-            # response body, not a dropped connection, on unexpected bugs.
-            logger.exception("unhandled error serving %s", self.path)
-            try:
-                self._send_json(500, {"error": f"internal error: {exc}"})
-            except Exception:  # headers may already be on the wire
-                self.close_connection = True
+        self._respond(self._route_get)
 
     def do_POST(self) -> None:  # noqa: N802
+        self._respond(self._route_post)
+
+    def _respond(self, route) -> None:
+        """Run one route, mapping its failure to a JSON error response."""
         service: QueryService = self.server.service  # type: ignore[attr-defined]
         try:
-            if self.path == "/query":
-                self._handle_query(service)
-            elif self.path == "/trajectories":
-                self._handle_insert(service)
-            else:
-                self._send_json(404, {"error": f"unknown path {self.path!r}"})
+            route(service)
         except AdmissionError as exc:
             self._send_json(429, {"error": str(exc)})
         except (DeadlineExceededError, QueryCancelledError) as exc:
@@ -345,6 +247,88 @@ class _Handler(BaseHTTPRequestHandler):
             except Exception:  # headers may already be on the wire
                 self.close_connection = True
 
+    def _route_get(self, service: QueryService) -> None:
+        parsed = urlsplit(self.path)
+        path = parsed.path
+        if path == "/healthz":
+            engine = service.engine
+            count = (
+                len(engine.dataset) if hasattr(engine, "dataset") else len(engine)
+            )
+            payload = {
+                "status": "ok",
+                "trajectories": count,
+                "shards": getattr(engine, "num_shards", 1),
+                "backend": getattr(engine, "backend", "single"),
+                "dp_backend": getattr(engine, "dp_backend", "auto"),
+            }
+            # Cache-hit observability for repeated-query traffic
+            # (substitution rows and warm verification tries), read
+            # as ONE combined snapshot so the processes backend's
+            # non-blocking worker poll runs once per probe; busy
+            # workers are skipped (the probe must not queue behind a
+            # long verification), and a failing poll (dead worker,
+            # closing engine) degrades the fields rather than the
+            # probe — /healthz answers liveness, not shard health.
+            cache_stats = getattr(engine, "cache_stats", None)
+            if cache_stats is not None:
+                try:
+                    combined = cache_stats()
+                    payload["substitution_cache"] = combined["substitution"]
+                    payload["trie_cache"] = combined["trie"]
+                    # Index backend, bytes, and (for a frozen mmap)
+                    # page-cache residency — same single snapshot.
+                    if "index" in combined:
+                        payload["index"] = combined["index"]
+                except Exception as exc:  # noqa: BLE001
+                    payload["substitution_cache"] = {"error": str(exc)}
+                    payload["trie_cache"] = {"error": str(exc)}
+                    payload["index"] = {"error": str(exc)}
+            # Per-shard worker supervision state: a dead worker (or an
+            # open breaker) is visible here *before* a query hits it,
+            # and flips the top-level status to "degraded" (still 200
+            # — the server itself is up and can serve partial/other
+            # shards; monitoring alerts on the field, load balancers
+            # on the process).
+            worker_states = getattr(engine, "worker_states", None)
+            if worker_states is not None:
+                try:
+                    states = worker_states()
+                    payload["workers"] = [s.to_dict() for s in states]
+                    payload["restarts_total"] = sum(s.restarts for s in states)
+                    if any(
+                        not s.alive or s.breaker != "closed" for s in states
+                    ):
+                        payload["status"] = "degraded"
+                except Exception as exc:  # noqa: BLE001
+                    payload["workers"] = [{"error": str(exc)}]
+            self._send_json(200, payload)
+        elif path == "/stats":
+            self._send_json(200, service.stats())
+        elif path == "/metrics":
+            # Prometheus text exposition.  The registry renders push
+            # instruments and pull collectors; the engine-cache
+            # collector polls processes-backend workers WITHOUT
+            # blocking, so a scrape never queues behind a
+            # long-running query.
+            self._send_text(
+                200,
+                service.observability.registry.render(),
+                "text/plain; version=0.0.4; charset=utf-8",
+            )
+        elif path == "/debug/traces":
+            self._handle_traces(service, parse_qs(parsed.query))
+        else:
+            self._send_json(404, {"error": f"unknown path {self.path!r}"})
+
+    def _route_post(self, service: QueryService) -> None:
+        if self.path == "/query":
+            self._handle_query(service)
+        elif self.path == "/trajectories":
+            self._handle_insert(service)
+        else:
+            self._send_json(404, {"error": f"unknown path {self.path!r}"})
+
     def _handle_traces(self, service: QueryService, params: Dict[str, list]) -> None:
         order = params.get("order", ["recent"])[0]
         if order not in ("recent", "slowest"):
@@ -364,62 +348,46 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _handle_query(self, service: QueryService) -> None:
+        # Field values go to the service as decoded: its request
+        # descriptors are the one validation boundary (types, finiteness,
+        # ranges, symbols), so a bad value is a QueryError — a 400.
         body = self._read_body()
-        path = body.get("path")
-        if not isinstance(path, list) or not path:
-            raise ValueError("'path' must be a non-empty list of symbols")
-        tau = body.get("tau")
-        tau_ratio = body.get("tau_ratio")
-        interval, mode = self._interval_of(body)
         limit = body.get("limit")
-        if limit is not None and (not isinstance(limit, int) or limit < 0):
+        if limit is not None and (
+            isinstance(limit, bool) or not isinstance(limit, int) or limit < 0
+        ):
             raise ValueError("'limit' must be a nonnegative integer")
-        allow_partial = body.get("allow_partial", False)
-        if not isinstance(allow_partial, bool):
-            raise ValueError("'allow_partial' must be a boolean")
-        k = body.get("k")
-        if k is not None:
-            # Top-k mode: the request names a depth instead of a radius.
-            if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
-                raise ValueError("'k' must be a positive integer")
-            if tau is not None or tau_ratio is not None:
-                raise ValueError(
-                    "'k' is mutually exclusive with 'tau'/'tau_ratio' — "
-                    "a request is either top-k or range"
-                )
-            if interval is not None:
-                raise ValueError(
-                    "top-k does not support temporal constraints"
-                )
-            kwargs: Dict[str, Any] = {}
-            for knob in ("initial_tau_ratio", "growth"):
-                if body.get(knob) is not None:
-                    kwargs[knob] = float(body[knob])
-            response = service.topk(
-                [int(s) for s in path],
-                k,
-                deadline=(
-                    None
-                    if body.get("deadline") is None
-                    else float(body["deadline"])
-                ),
-                allow_partial=allow_partial,
-                **kwargs,
-            )
-            self._send_json(200, topk_payload(response, limit=limit))
-            return
-        response = service.query(
-            [int(s) for s in path],
-            tau=None if tau is None else float(tau),
-            tau_ratio=None if tau_ratio is None else float(tau_ratio),
-            time_interval=interval,
-            temporal_mode=mode,
-            deadline=(
-                None if body.get("deadline") is None else float(body["deadline"])
-            ),
-            allow_partial=allow_partial,
+        common = dict(
+            deadline=body.get("deadline"),
+            allow_partial=body.get("allow_partial", False),
         )
-        self._send_json(200, response_payload(response, limit=limit))
+        path, k = body.get("path"), body.get("k")
+        if k is None:
+            interval, mode = self._interval_of(body)
+            response = service.query(
+                path,
+                tau=body.get("tau"),
+                tau_ratio=body.get("tau_ratio"),
+                time_interval=interval,
+                temporal_mode=mode,
+                **common,
+            )
+            self._send_json(200, response_payload(response, limit=limit))
+            return
+        # Top-k mode: the request names a depth instead of a radius.
+        if any(
+            body.get(field) is not None
+            for field in ("tau", "tau_ratio", "time_from", "time_to")
+        ):
+            raise ValueError(
+                "'k' is mutually exclusive with 'tau'/'tau_ratio' and with "
+                "temporal constraints — a request is either top-k or range"
+            )
+        for knob in ("initial_tau_ratio", "growth"):
+            if body.get(knob) is not None:
+                common[knob] = body[knob]
+        response = service.topk(path, k, **common)
+        self._send_json(200, topk_payload(response, limit=limit))
 
     def _handle_insert(self, service: QueryService) -> None:
         body = self._read_body()
@@ -445,8 +413,6 @@ class _Handler(BaseHTTPRequestHandler):
         if (t0 is None) != (t1 is None):
             raise ValueError("'time_from' and 'time_to' must be given together")
         mode = body.get("temporal_mode", "overlap")
-        if mode not in ("overlap", "within"):
-            raise ValueError("'temporal_mode' must be 'overlap' or 'within'")
         if t0 is None:
             return None, mode
         return TimeInterval(float(t0), float(t1)), mode

@@ -25,7 +25,7 @@ import json
 import logging
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.engine import QueryResult
+from repro.core.topk import TopKResult
 from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
@@ -49,6 +49,26 @@ _DP_COLUMN_BUCKETS = (
     10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000, 300000,
 )
 _K_BUCKETS = (1, 3, 10, 30, 100, 300, 1000)
+
+
+def _stages(result) -> List[Tuple[str, float, Dict[str, Any]]]:
+    """The engine stage breakdown a synthesized trace shows for one
+    computed result: summed probe-round clocks plus the tau expansion for
+    top-k, the verification's DP provenance for a range query."""
+    if isinstance(result, TopKResult):
+        verify = {"tau_rounds": result.tau_rounds, "swept": result.swept}
+    else:
+        verify = {
+            "dp_backend": result.dp_backend_used,
+            "dp_rounds": result.dp_rounds,
+            "trie_cache": result.trie_cache_status or "n/a",
+            "computed_columns": result.verification.computed_columns,
+        }
+    return [
+        ("mincand", result.mincand_seconds, {}),
+        ("lookup", result.lookup_seconds, {"candidates": result.num_candidates}),
+        ("verify", result.verify_seconds, verify),
+    ]
 
 
 class ServiceObservability:
@@ -192,61 +212,43 @@ class ServiceObservability:
         self,
         seconds: float,
         *,
+        result,
         cached: bool = False,
         coalesced: bool = False,
-        result: Optional[QueryResult] = None,
     ) -> None:
-        """Record one successful response in the export registry."""
-        outcome = "cached" if cached else ("coalesced" if coalesced else "computed")
-        self._queries.inc(outcome=outcome)
-        self._latency.observe(seconds, outcome=outcome)
-        if result is not None and not result.complete:
-            self._degraded.inc()
-        if result is None or cached or coalesced:
-            return
-        self._candidates.observe(result.num_candidates)
-        self._dp_columns.observe(result.verification.computed_columns)
-        self._by_backend.inc(dp_backend=result.dp_backend_used or "unknown")
-        self._stage_seconds.inc(result.mincand_seconds, stage="mincand")
-        self._stage_seconds.inc(result.lookup_seconds, stage="lookup")
-        self._stage_seconds.inc(result.verify_seconds, stage="verify")
-        self._dp_rounds.inc(result.dp_rounds)
+        """Record one successful response in the export registry.
 
-    def observe_topk(
-        self,
-        seconds: float,
-        *,
-        k: int,
-        cached: bool = False,
-        coalesced: bool = False,
-        result=None,
-    ) -> None:
-        """Record one successful top-k response (``result`` is a
-        :class:`~repro.core.topk.TopKResult` or ``None``).
-
-        Top-k traffic gets its own query counter but shares the latency
-        histogram's outcome labels with range queries — one latency SLO
-        covers both modalities."""
+        The result type picks the instruments: a
+        :class:`~repro.core.topk.TopKResult` counts under the
+        ``repro_topk_*`` families, a range
+        :class:`~repro.core.engine.QueryResult` under the DP-provenance
+        ones.  Both share the latency histogram's outcome labels — one
+        latency SLO covers both modalities."""
         outcome = "cached" if cached else ("coalesced" if coalesced else "computed")
-        self._topk_queries.inc(outcome=outcome)
+        topk = isinstance(result, TopKResult)
+        (self._topk_queries if topk else self._queries).inc(outcome=outcome)
         self._latency.observe(seconds, outcome=outcome)
-        self._topk_k.observe(k)
-        if result is None:
-            return
         if not result.complete:
             self._degraded.inc()
-        self._topk_ties.inc(result.ties_at_k)
-        if cached:
-            self._topk_reuse.inc()
+        if topk:
+            self._topk_k.observe(result.k)
+            self._topk_ties.inc(result.ties_at_k)
+            if cached:
+                self._topk_reuse.inc()
         if cached or coalesced:
             return
-        self._topk_rounds.inc(result.tau_rounds)
-        if result.swept:
-            self._topk_sweeps.inc()
         self._candidates.observe(result.num_candidates)
         self._stage_seconds.inc(result.mincand_seconds, stage="mincand")
         self._stage_seconds.inc(result.lookup_seconds, stage="lookup")
         self._stage_seconds.inc(result.verify_seconds, stage="verify")
+        if topk:
+            self._topk_rounds.inc(result.tau_rounds)
+            if result.swept:
+                self._topk_sweeps.inc()
+        else:
+            self._dp_columns.observe(result.verification.computed_columns)
+            self._by_backend.inc(dp_backend=result.dp_backend_used or "unknown")
+            self._dp_rounds.inc(result.dp_rounds)
 
     def observe_error(self, exc: BaseException) -> None:
         """Record one failed request, labelled by exception type."""
@@ -257,10 +259,11 @@ class ServiceObservability:
         trace: Optional[Trace],
         *,
         seconds: float,
-        result: Optional[QueryResult] = None,
+        result=None,
         cached: bool = False,
         coalesced: bool = False,
         error: Optional[BaseException] = None,
+        mode: str = "query",
     ) -> None:
         """Close out one request's trace and apply slow-query handling.
 
@@ -269,107 +272,52 @@ class ServiceObservability:
         threshold additionally log a one-line JSON record; when unsampled
         they get a synthesized stage-breakdown trace so the recorder's
         ``slowest`` view never misses a slow query merely because
-        sampling skipped it.
+        sampling skipped it.  ``mode`` (``"query"`` or ``"topk"``) names
+        a synthesized trace when a failed request has no result to speak
+        for it.
         """
+        topk = mode == "topk" or isinstance(result, TopKResult)
         slow = (
             self.slow_query_seconds is not None
             and seconds >= self.slow_query_seconds
         )
+        attrs: Dict[str, Any] = {}
+        if cached or coalesced:
+            attrs["outcome"] = "cached" if cached else "coalesced"
+        if error is not None:
+            attrs["error"] = type(error).__name__
         record: Optional[Dict[str, Any]] = None
         if trace is not None:
-            root = trace.root
-            root.set("seconds", round(seconds, 6))
-            if cached:
-                root.set("outcome", "cached")
-            elif coalesced:
-                root.set("outcome", "coalesced")
-            if error is not None:
-                root.set("error", type(error).__name__)
-            trace.finish()
-            record = trace.to_dict()
-        elif slow:
-            record = self._synthesize(
-                seconds, result=result, cached=cached,
-                coalesced=coalesced, error=error,
-            )
-        if record is None:
-            return
-        if slow:
-            record["slow"] = True
-            self._slow.inc()
-            payload = slow_query_record(
-                record,
-                seconds=seconds,
-                threshold=self.slow_query_seconds,
-                cached=cached,
-                coalesced=coalesced,
-                error="" if error is None else type(error).__name__,
-                matches=0 if result is None else len(result.matches),
-                candidates=0 if result is None else result.num_candidates,
-                dp_backend="" if result is None else result.dp_backend_used,
-            )
-            slow_query_logger.warning(json.dumps(payload, sort_keys=True))
-        self.recorder.record(record)
-
-    def finish_topk_trace(
-        self,
-        trace: Optional[Trace],
-        *,
-        seconds: float,
-        result=None,
-        cached: bool = False,
-        coalesced: bool = False,
-        error: Optional[BaseException] = None,
-    ) -> None:
-        """:meth:`finish_trace` for top-k requests: same slow-query and
-        flight-recorder handling, but the synthesized stage breakdown
-        speaks :class:`~repro.core.topk.TopKResult` (summed probe-round
-        stage clocks, tau rounds, sweep size) instead of the range
-        result's DP provenance."""
-        slow = (
-            self.slow_query_seconds is not None
-            and seconds >= self.slow_query_seconds
-        )
-        record: Optional[Dict[str, Any]] = None
-        if trace is not None:
-            root = trace.root
-            root.set("seconds", round(seconds, 6))
-            if cached:
-                root.set("outcome", "cached")
-            elif coalesced:
-                root.set("outcome", "coalesced")
-            if error is not None:
-                root.set("error", type(error).__name__)
+            if topk and result is not None:
+                attrs["tau_rounds"] = result.tau_rounds
+                attrs["ties_at_k"] = result.ties_at_k
+            trace.root.set("seconds", round(seconds, 6))
+            for name, value in attrs.items():
+                trace.root.set(name, value)
             trace.finish()
             record = trace.to_dict()
         elif slow:
             stages: List[Tuple[str, float, Dict[str, Any]]] = []
-            attrs: Dict[str, Any] = {"mode": "topk"}
-            if cached:
-                attrs["outcome"] = "cached"
-            elif coalesced:
-                attrs["outcome"] = "coalesced"
-            if error is not None:
-                attrs["error"] = type(error).__name__
             if result is not None and not (cached or coalesced):
-                stages = [
-                    ("mincand", result.mincand_seconds, {}),
-                    ("lookup", result.lookup_seconds,
-                     {"candidates": result.num_candidates}),
-                    ("verify", result.verify_seconds,
-                     {"tau_rounds": result.tau_rounds,
-                      "swept": result.swept}),
-                ]
-                attrs["k"] = result.k
+                stages = _stages(result)
+                if topk:
+                    attrs["k"] = result.k
                 attrs["matches"] = len(result.matches)
+            if topk:
+                attrs["mode"] = "topk"
             record = synthesize_trace(
-                "topk", seconds=seconds, stages=stages, **attrs
+                "topk" if topk else "query", seconds=seconds, stages=stages,
+                **attrs,
             )
         if record is None:
             return
         if slow:
             record["slow"] = True
             self._slow.inc()
+            if topk:
+                dp_backend = "topk"
+            else:
+                dp_backend = "" if result is None else result.dp_backend_used
             payload = slow_query_record(
                 record,
                 seconds=seconds,
@@ -379,41 +327,10 @@ class ServiceObservability:
                 error="" if error is None else type(error).__name__,
                 matches=0 if result is None else len(result.matches),
                 candidates=0 if result is None else result.num_candidates,
-                dp_backend="topk",
+                dp_backend=dp_backend,
             )
             slow_query_logger.warning(json.dumps(payload, sort_keys=True))
         self.recorder.record(record)
-
-    @staticmethod
-    def _synthesize(
-        seconds: float,
-        *,
-        result: Optional[QueryResult],
-        cached: bool,
-        coalesced: bool,
-        error: Optional[BaseException],
-    ) -> Dict[str, Any]:
-        stages: List[Tuple[str, float, Dict[str, Any]]] = []
-        attrs: Dict[str, Any] = {}
-        if cached:
-            attrs["outcome"] = "cached"
-        elif coalesced:
-            attrs["outcome"] = "coalesced"
-        if error is not None:
-            attrs["error"] = type(error).__name__
-        if result is not None and not (cached or coalesced):
-            stages = [
-                ("mincand", result.mincand_seconds, {}),
-                ("lookup", result.lookup_seconds,
-                 {"candidates": result.num_candidates}),
-                ("verify", result.verify_seconds,
-                 {"dp_backend": result.dp_backend_used,
-                  "dp_rounds": result.dp_rounds,
-                  "trie_cache": result.trie_cache_status or "n/a",
-                  "computed_columns": result.verification.computed_columns}),
-            ]
-            attrs["matches"] = len(result.matches)
-        return synthesize_trace("query", seconds=seconds, stages=stages, **attrs)
 
     # -- pull collectors ------------------------------------------------------
 

@@ -1,17 +1,18 @@
-"""The serving facade: cache → coalesce → execute, with metrics throughout.
+"""The serving facade: one request ladder for range and top-k queries.
 
 :class:`QueryService` is the one object a frontend (HTTP handler, CLI,
-benchmark driver) talks to.  Per request it:
-
-1. normalizes the request into a query signature
-   (:func:`repro.core.engine.query_signature`);
-2. consults the LRU :class:`~repro.service.cache.ResultCache`;
-3. on a miss, coalesces with any identical in-flight request
-   (:class:`~repro.service.batching.Batcher`);
-4. as the flight leader, runs the query through the
-   :class:`~repro.service.executor.Executor` (thread-pool shard fan-out,
-   deadline, admission control) and caches the answer;
-5. records the outcome in :class:`~repro.service.metrics.Metrics`.
+benchmark driver) talks to.  Each request is built into a frozen
+descriptor — :class:`RangeRequest` or :class:`TopKRequest` — that
+validates every field (non-finite or out-of-range numbers and bad
+symbols raise :class:`~repro.exceptions.QueryError` before admission)
+and owns what differs between the kinds: cache signature, cache lookup
+and store rule, coalescing flight key, and executor call.  One ladder
+then serves both: the LRU :class:`~repro.service.cache.ResultCache`;
+on a miss, single-flight coalescing
+(:class:`~repro.service.batching.Batcher`); as the flight leader, the
+:class:`~repro.service.executor.Executor` (admission, deadline,
+execution), whose answer is cached; then
+:class:`~repro.service.metrics.Metrics` and tracing record the outcome.
 
 Every layer is exact: a cached or coalesced answer is element-for-element
 the answer the engine would compute.  Online updates keep it that way —
@@ -22,9 +23,12 @@ deletes will reuse).
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import numbers
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence, Tuple
 
 from repro.core.engine import QueryResult, query_signature, topk_signature
 from repro.core.temporal import TemporalMode, TimeInterval
@@ -35,7 +39,7 @@ from repro.service.executor import Executor
 from repro.service.metrics import Metrics
 from repro.service.observability import ServiceObservability
 
-__all__ = ["QueryService", "ServiceResponse"]
+__all__ = ["QueryService", "RangeRequest", "ServiceResponse", "TopKRequest"]
 
 
 def _deadline_is_retryable(exc: BaseException) -> bool:
@@ -43,6 +47,197 @@ def _deadline_is_retryable(exc: BaseException) -> bool:
     cancellation it decays to) is the leader's budget running out, not the
     follower's — the follower retries while its own budget holds."""
     return isinstance(exc, DeadlineExceededError)
+
+
+def _number(
+    name: str, value, low: float, high: float = math.inf, *, open_low: bool = False
+) -> Optional[float]:
+    """``value`` as a finite float in ``[low, high]`` — ``(low, high]``
+    with ``open_low`` — and ``None`` as ``None``.  Anything else (a
+    non-number, a bool, NaN, an infinity, a value out of range) is a
+    :class:`QueryError`."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise QueryError(f"{name!r} must be a number, got {value!r}")
+    value = float(value)
+    above_low = low < value if open_low else low <= value
+    if not (math.isfinite(value) and above_low and value <= high):
+        raise QueryError(
+            f"{name!r} must be a finite number in {'(' if open_low else '['}"
+            f"{low:g}, {high:g}], got {value!r}"
+        )
+    return value
+
+
+def _path(path) -> Tuple[int, ...]:
+    """A query path as a tuple of non-negative integer symbols.  Bools and
+    floats are rejected rather than coerced (``int(1.5)`` would silently
+    answer a different query); the upper bound — the engine's alphabet —
+    is checked by the service, which knows it."""
+    if isinstance(path, (str, bytes)) or not isinstance(path, Iterable):
+        raise QueryError("'path' must be a non-empty list of symbols")
+    symbols = tuple(path)
+    if not symbols:
+        raise QueryError("empty query")
+    for s in symbols:
+        if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 0:
+            raise QueryError(f"path symbols must be non-negative integers, got {s!r}")
+    return tuple(int(s) for s in symbols)
+
+
+@dataclass(frozen=True)
+class _Request:
+    """The fields and checks every request kind shares.
+
+    A descriptor is built once per request and validates its fields as it
+    is built.  ``MODE`` names the executor method that runs it and the
+    kind in traces; the base methods implement range behaviour, which
+    :class:`TopKRequest` overrides where its truncation rule differs."""
+
+    MODE: ClassVar[str]
+
+    path: Tuple[int, ...]
+    deadline: Optional[float] = None
+    allow_partial: bool = False
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.allow_partial, bool):
+            raise QueryError(
+                f"'allow_partial' must be a boolean, got {self.allow_partial!r}"
+            )
+        self._normalize(
+            path=_path(self.path),
+            deadline=_number("deadline", self.deadline, 0.0, open_low=True),
+        )
+
+    def _normalize(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def flight_key(self, sig: tuple, generation: int) -> tuple:
+        # The deadline keys the flight (a tightly-budgeted leader's
+        # DeadlineExceededError must not reach a follower that asked for
+        # more time), as do the cache generation (a post-insert request
+        # must not share a pre-insert computation) and allow_partial (a
+        # partial answer is never handed to a follower that did not opt
+        # in).
+        return (sig, self.deadline, generation, self.allow_partial)
+
+    def lookup(self, cache: ResultCache, sig: tuple):
+        return cache.get(sig)
+
+    def store(self, cache: ResultCache, sig: tuple, result, generation: int) -> None:
+        cache.put(sig, result, generation=generation)
+
+    def execute(self, executor: Executor, trace):
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        run = getattr(executor, self.MODE)
+        return run(list(fields.pop("path")), trace=trace, **fields)
+
+    def trace_attributes(self) -> dict:
+        attrs = {"query_length": len(self.path)}
+        if self.deadline is not None:
+            attrs["deadline_seconds"] = self.deadline
+        return attrs
+
+
+@dataclass(frozen=True, kw_only=True)
+class RangeRequest(_Request):
+    """One range request: every match within ``tau`` (or ``tau_ratio`` of
+    the query's filter cost), optionally inside a time window."""
+
+    MODE: ClassVar[str] = "query"
+
+    tau: Optional[float] = None
+    tau_ratio: Optional[float] = None
+    time_interval: Optional[TimeInterval] = None
+    temporal_mode: TemporalMode = "overlap"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if (self.tau is None) == (self.tau_ratio is None):
+            raise QueryError("exactly one of tau / tau_ratio must be given")
+        if self.temporal_mode not in ("overlap", "within"):
+            raise QueryError("'temporal_mode' must be 'overlap' or 'within'")
+        window = self.time_interval
+        if window is not None and not (
+            math.isfinite(window.start) and math.isfinite(window.end)
+        ):
+            raise QueryError("time window bounds must be finite")
+        self._normalize(
+            tau=_number("tau", self.tau, 0.0),
+            tau_ratio=_number("tau_ratio", self.tau_ratio, 0.0, 1.0),
+        )
+
+    def signature(self, costs) -> tuple:
+        return query_signature(
+            self.path,
+            costs,
+            tau=self.tau,
+            tau_ratio=self.tau_ratio,
+            time_interval=self.time_interval,
+            temporal_mode=self.temporal_mode,
+        )
+
+    def trace_attributes(self) -> dict:
+        attrs = super().trace_attributes()
+        for name in ("tau", "tau_ratio"):
+            if getattr(self, name) is not None:
+                attrs[name] = getattr(self, name)
+        return attrs
+
+
+@dataclass(frozen=True, kw_only=True)
+class TopKRequest(_Request):
+    """One top-k request: the ``k`` best per-trajectory matches
+    (:func:`repro.core.topk.topk_search`).
+
+    Its cache rule is truncation reuse: the signature is k-independent
+    (:func:`repro.core.engine.topk_signature`), a cached answer computed
+    at ``k' >= k`` answers ``k`` through
+    :meth:`~repro.core.topk.TopKResult.at_k`, and a stored answer that
+    covers a newly computed one is never replaced by it."""
+
+    MODE: ClassVar[str] = "topk"
+
+    k: int = 1
+    initial_tau_ratio: float = 0.05
+    growth: float = 2.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        k = self.k
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise QueryError(f"'k' must be a positive integer, got {k!r}")
+        self._normalize(
+            k=int(k),
+            initial_tau_ratio=_number(
+                "initial_tau_ratio", self.initial_tau_ratio, 0.0, open_low=True
+            ),
+            growth=_number("growth", self.growth, 1.0, open_low=True),
+        )
+
+    def signature(self, costs) -> tuple:
+        return topk_signature(self.path, costs)
+
+    def flight_key(self, sig: tuple, generation: int) -> tuple:
+        # Plus k: concurrent requests coalesce only when the leader's
+        # answer is exactly the follower's (truncation reuse happens in the
+        # cache, not mid-flight).
+        return super().flight_key(sig, generation) + (self.k,)
+
+    def lookup(self, cache: ResultCache, sig: tuple):
+        return cache.get_topk(sig, self.k)
+
+    def store(self, cache: ResultCache, sig: tuple, result, generation: int) -> None:
+        cache.put(
+            sig, result, generation=generation,
+            keep=lambda stored: stored.covers(result.k),
+        )
+
+    def trace_attributes(self) -> dict:
+        return {**super().trace_attributes(), "mode": "topk", "k": self.k}
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,7 +263,7 @@ class QueryService:
     engine:
         :class:`~repro.core.engine.SubtrajectorySearch` or
         :class:`~repro.core.partitioned.PartitionedSubtrajectorySearch`
-        (the latter gets parallel per-shard fan-out).
+        (whose backend owns the shard fan-out).
     max_workers / max_pending / default_deadline:
         Forwarded to the :class:`Executor`.
     cache_size:
@@ -105,6 +300,12 @@ class QueryService:
     ) -> None:
         self._engine = engine
         self._costs = engine.costs
+        # Symbols at or past the alphabet size are unknown to the engine:
+        # rejected as bad input instead of failing deep inside it.
+        dataset = getattr(engine, "dataset", None)
+        self._alphabet_size: Optional[int] = (
+            None if dataset is None else dataset.alphabet_size()
+        )
         self.executor = Executor(
             engine,
             max_workers=max_workers,
@@ -143,300 +344,163 @@ class QueryService:
 
     # -- request path -------------------------------------------------------
 
-    def signature(
-        self,
-        query: Sequence[int],
-        *,
-        tau: Optional[float] = None,
-        tau_ratio: Optional[float] = None,
-        time_interval: Optional[TimeInterval] = None,
-        temporal_mode: TemporalMode = "overlap",
-    ) -> tuple:
-        """The cache/coalescing key this service uses for a request."""
-        return query_signature(
-            query,
-            self._costs,
-            tau=tau,
-            tau_ratio=tau_ratio,
-            time_interval=time_interval,
-            temporal_mode=temporal_mode,
-        )
-
-    def query(
-        self,
-        query: Sequence[int],
-        *,
-        tau: Optional[float] = None,
-        tau_ratio: Optional[float] = None,
-        time_interval: Optional[TimeInterval] = None,
-        temporal_mode: TemporalMode = "overlap",
-        deadline: Optional[float] = None,
-        allow_partial: bool = False,
-    ) -> ServiceResponse:
-        """Answer one request through cache, coalescing, and executor.
-
-        Semantics match the engine exactly; raises
-        :class:`~repro.exceptions.AdmissionError` /
-        :class:`~repro.exceptions.DeadlineExceededError` under overload.
-
-        ``allow_partial`` opts this request into graceful degradation
-        (processes-backend engines only — see
-        :meth:`~repro.core.partitioned.PartitionedSubtrajectorySearch.query`):
-        with shards down, the response carries ``result.complete=False``
-        and ``result.degraded_shards`` instead of an error.  Partial
-        answers are never cached (the shard could come back) and never
-        shared with a coalesced follower that did not opt in — the flight
-        key includes the flag.
-        """
-        sig = self.signature(
-            query,
-            tau=tau,
-            tau_ratio=tau_ratio,
-            time_interval=time_interval,
-            temporal_mode=temporal_mode,
-        )
-        obs = self.observability
-        trace = obs.start_trace(query_length=len(query))
-        root = None if trace is None else trace.root
-        if root is not None:
-            if tau is not None:
-                root.set("tau", float(tau))
-            if tau_ratio is not None:
-                root.set("tau_ratio", float(tau_ratio))
-            if deadline is not None:
-                root.set("deadline_seconds", float(deadline))
-        t0 = time.perf_counter()
-        # Captured before the cache lookup: this generation also keys the
-        # coalescing flight, so a request arriving after an invalidation
-        # never joins a pre-invalidation flight (read-your-writes for the
-        # inserter) and a computed result is never re-cached across one.
-        generation = self.cache.generation
-        lookup_span = None if root is None else root.child("cache_lookup")
-        hit = self.cache.get(sig)
-        if lookup_span is not None:
-            lookup_span.set("hit", hit is not None)
-            lookup_span.finish()
-        if hit is not None:
-            seconds = time.perf_counter() - t0
-            self.metrics.observe(seconds, cached=True, result=hit)
-            obs.observe_response(seconds, cached=True, result=hit)
-            obs.finish_trace(trace, seconds=seconds, result=hit, cached=True)
-            return ServiceResponse(hit, sig, True, False, seconds)
-
-        def compute() -> QueryResult:
-            result = self.executor.query(
-                query,
-                tau=tau,
-                tau_ratio=tau_ratio,
-                time_interval=time_interval,
-                temporal_mode=temporal_mode,
-                deadline=deadline,
-                trace=root,
-                allow_partial=allow_partial,
-            )
-            # generation guard: if an online update invalidated the cache
-            # while this was computing, the result is stale — don't re-cache.
-            # Partial answers are never cached at all: a later request must
-            # not be served yesterday's degradation as if it were complete.
-            if result.complete:
-                self.cache.put(sig, result, generation=generation)
-            return result
-
-        budget = (
-            deadline if deadline is not None else self.executor.default_deadline
-        )
-        result, coalesced = None, False
-        try:
-            if self.batcher is not None:
-                # The flight key includes the deadline (a tightly-budgeted
-                # leader's DeadlineExceededError must not propagate to a
-                # follower that asked for more time) and the cache
-                # generation (a post-insert request must not share a
-                # pre-insert computation).  wait_timeout enforces the
-                # budget for followers that joined a leader's flight late;
-                # follower_retry is the fairness half of the same rule — a
-                # follower that joined late has budget left when the
-                # leader's deadline fires, so it goes around as a new
-                # leader instead of inheriting a miss it did not earn.
-                flight_span = None if root is None else root.child("coalesce")
-                try:
-                    result, coalesced = self.batcher.run(
-                        (sig, deadline, generation, allow_partial),
-                        compute,
-                        wait_timeout=budget,
-                        follower_retry=_deadline_is_retryable,
-                    )
-                finally:
-                    if flight_span is not None:
-                        flight_span.set("coalesced", coalesced)
-                        flight_span.finish()
-            else:
-                result, coalesced = compute(), False
-        except AdmissionError as exc:
-            self.metrics.observe_error("rejected", exc=exc)
-            self._trace_error(trace, t0, exc)
-            raise
-        except DeadlineExceededError as exc:
-            self.metrics.observe_error("deadline", exc=exc)
-            self._trace_error(trace, t0, exc)
-            raise
-        except TimeoutError as exc:
-            converted = DeadlineExceededError(str(exc))
-            self.metrics.observe_error("deadline", exc=converted)
-            self._trace_error(trace, t0, converted)
-            raise converted from None
-        except Exception as exc:
-            self.metrics.observe_error(exc=exc)
-            self._trace_error(trace, t0, exc)
-            raise
-        seconds = time.perf_counter() - t0
-        self.metrics.observe(seconds, coalesced=coalesced, result=result)
-        obs.observe_response(seconds, coalesced=coalesced, result=result)
-        obs.finish_trace(
-            trace, seconds=seconds, result=result, coalesced=coalesced
-        )
-        return ServiceResponse(result, sig, False, coalesced, seconds)
+    def signature(self, query: Sequence[int], **fields) -> tuple:
+        """The cache/coalescing key this service uses for a range request
+        (``fields`` as for :class:`RangeRequest`)."""
+        return RangeRequest(query, **fields).signature(self._costs)
 
     def topk_signature(self, query: Sequence[int]) -> tuple:
         """The cache/coalescing key this service uses for a top-k
         request.  Deliberately k-independent (see
         :func:`repro.core.engine.topk_signature`): the cached answer's
         own ``k`` decides coverage."""
-        return topk_signature(query, self._costs)
+        return TopKRequest(query).signature(self._costs)
 
-    def topk(
-        self,
-        query: Sequence[int],
-        k: int,
-        *,
-        initial_tau_ratio: float = 0.05,
-        growth: float = 2.0,
-        deadline: Optional[float] = None,
-        allow_partial: bool = False,
-    ) -> ServiceResponse:
-        """Answer one top-k request through cache, coalescing, executor.
+    def query(self, query: Sequence[int], **fields) -> ServiceResponse:
+        """Answer one range request through cache, coalescing, and
+        executor; ``fields`` are those of :class:`RangeRequest` (``tau`` or
+        ``tau_ratio``, ``time_interval`` / ``temporal_mode``,
+        ``deadline``, ``allow_partial``).
 
-        The cache applies the truncation reuse rule: an earlier answer
-        computed at ``k' >= k`` (same query, same cost model — the
-        k-independent :meth:`topk_signature`) serves this request without
-        touching the engine, re-cut to ``k`` with its tie count
-        recomputed.  Generation guards match range queries, so an online
-        insert invalidates top-k answers identically.  Partial answers
-        (``allow_partial`` with shards down) are never cached and never
-        shared with followers that did not opt in — the flight key
-        includes the flag.  Raises the same admission/deadline errors as
-        :meth:`query`.
+        Semantics match the engine exactly; raises
+        :class:`~repro.exceptions.QueryError` for invalid input and
+        :class:`~repro.exceptions.AdmissionError` /
+        :class:`~repro.exceptions.DeadlineExceededError` under overload.
+
+        ``allow_partial`` opts this request into graceful degradation
+        (processes/remote-backend engines — see
+        :meth:`~repro.core.partitioned.PartitionedSubtrajectorySearch.query`):
+        with shards down, the response carries ``result.complete=False``
+        and ``result.degraded_shards`` instead of an error.  Partial
+        answers are never cached (the shard could come back) and never
+        shared with a coalesced follower that did not opt in.
         """
-        if k <= 0:
-            raise QueryError("k must be positive")
-        sig = self.topk_signature(query)
+        return self._serve(RangeRequest, query, **fields)
+
+    def topk(self, query: Sequence[int], k: int, **fields) -> ServiceResponse:
+        """Answer one top-k request through the same ladder as
+        :meth:`query`, with the same errors; ``fields`` are those of
+        :class:`TopKRequest` (``initial_tau_ratio``, ``growth``,
+        ``deadline``, ``allow_partial``).
+
+        An earlier answer computed at ``k' >= k`` (same query, same cost
+        model) serves this request from the cache without touching the
+        engine, re-cut to ``k`` with its tie count recomputed.
+        """
+        return self._serve(TopKRequest, query, k=k, **fields)
+
+    def _serve(self, kind, query: Sequence[int], **fields) -> ServiceResponse:
+        """The one request ladder: validate → cache → coalesce → admit
+        and execute → observe.  Failures at any rung, validation
+        included, are counted and traced before they propagate."""
         obs = self.observability
-        trace = obs.start_trace(query_length=len(query), mode="topk", k=int(k))
+        trace = obs.start_trace()
         root = None if trace is None else trace.root
-        if root is not None and deadline is not None:
-            root.set("deadline_seconds", float(deadline))
         t0 = time.perf_counter()
-        # Same capture-before-lookup discipline as query(): the generation
-        # keys the flight too, so post-insert requests never share a
-        # pre-insert computation.
-        generation = self.cache.generation
-        lookup_span = None if root is None else root.child("cache_lookup")
-        hit = self.cache.get_topk(sig, k)
-        if lookup_span is not None:
-            lookup_span.set("hit", hit is not None)
-            lookup_span.finish()
-        if hit is not None:
-            seconds = time.perf_counter() - t0
-            self.metrics.observe(seconds, cached=True, result=hit)
-            obs.observe_topk(seconds, k=k, cached=True, result=hit)
-            if root is not None:
-                root.set("tau_rounds", hit.tau_rounds)
-                root.set("ties_at_k", hit.ties_at_k)
-            obs.finish_topk_trace(trace, seconds=seconds, result=hit, cached=True)
-            return ServiceResponse(hit, sig, True, False, seconds)
-
-        def compute():
-            result = self.executor.topk(
-                query,
-                k,
-                initial_tau_ratio=initial_tau_ratio,
-                growth=growth,
-                deadline=deadline,
-                trace=root,
-                allow_partial=allow_partial,
-            )
-            # Cache only complete answers (a degraded ranking could be
-            # missing a shard's better match); put_topk additionally
-            # refuses to replace a deeper cached answer with this one.
-            if result.complete:
-                self.cache.put_topk(sig, result, generation=generation)
-            return result
-
-        budget = (
-            deadline if deadline is not None else self.executor.default_deadline
-        )
-        result, coalesced = None, False
+        coalesced = False
         try:
-            if self.batcher is not None:
-                # Same flight-key discipline as query(), plus k: two
-                # concurrent requests coalesce only when the leader's
-                # answer is exactly the follower's (depth included —
-                # truncation reuse happens in the cache, not mid-flight).
-                flight_span = None if root is None else root.child("coalesce")
-                try:
-                    result, coalesced = self.batcher.run(
-                        (sig, k, deadline, generation, allow_partial),
-                        compute,
-                        wait_timeout=budget,
-                        follower_retry=_deadline_is_retryable,
-                    )
-                finally:
-                    if flight_span is not None:
-                        flight_span.set("coalesced", coalesced)
-                        flight_span.finish()
-            else:
-                result, coalesced = compute(), False
-        except AdmissionError as exc:
-            self.metrics.observe_error("rejected", exc=exc)
-            self._trace_topk_error(trace, t0, exc)
-            raise
-        except DeadlineExceededError as exc:
-            self.metrics.observe_error("deadline", exc=exc)
-            self._trace_topk_error(trace, t0, exc)
-            raise
+            request = kind(query, **fields)
+            top = max(request.path)
+            if self._alphabet_size is not None and top >= self._alphabet_size:
+                raise QueryError(
+                    f"unknown symbol {top}: the alphabet has "
+                    f"{self._alphabet_size} symbols"
+                )
+            if root is not None:
+                for name, value in request.trace_attributes().items():
+                    root.set(name, value)
+            sig = request.signature(self._costs)
+            # Captured before the cache lookup: this generation also keys
+            # the coalescing flight, so a request arriving after an
+            # invalidation never joins a pre-invalidation flight
+            # (read-your-writes for the inserter) and a computed result is
+            # never re-cached across one.
+            generation = self.cache.generation
+            lookup_span = None if root is None else root.child("cache_lookup")
+            result = request.lookup(self.cache, sig)
+            cached = result is not None
+            if lookup_span is not None:
+                lookup_span.set("hit", cached)
+                lookup_span.finish()
+            if not cached:
+                result, coalesced = self._compute(request, sig, generation, root)
         except TimeoutError as exc:
+            # A follower's own budget ran out waiting on a leader.
             converted = DeadlineExceededError(str(exc))
-            self.metrics.observe_error("deadline", exc=converted)
-            self._trace_topk_error(trace, t0, converted)
+            self._failed(trace, t0, kind, converted)
             raise converted from None
         except Exception as exc:
-            self.metrics.observe_error(exc=exc)
-            self._trace_topk_error(trace, t0, exc)
+            self._failed(trace, t0, kind, exc)
             raise
         seconds = time.perf_counter() - t0
-        self.metrics.observe(seconds, coalesced=coalesced, result=result)
-        obs.observe_topk(seconds, k=k, coalesced=coalesced, result=result)
-        if root is not None:
-            root.set("tau_rounds", result.tau_rounds)
-            root.set("ties_at_k", result.ties_at_k)
-        obs.finish_topk_trace(
-            trace, seconds=seconds, result=result, coalesced=coalesced
+        self.metrics.observe(
+            seconds, cached=cached, coalesced=coalesced, result=result
         )
-        return ServiceResponse(result, sig, False, coalesced, seconds)
+        obs.observe_response(
+            seconds, cached=cached, coalesced=coalesced, result=result
+        )
+        obs.finish_trace(
+            trace, seconds=seconds, result=result, cached=cached,
+            coalesced=coalesced,
+        )
+        return ServiceResponse(result, sig, cached, coalesced, seconds)
 
-    def _trace_error(self, trace, t0: float, exc: BaseException) -> None:
-        """Close out a failed request's trace and error instruments."""
+    def _compute(
+        self, request, sig: tuple, generation: int, root
+    ) -> Tuple[object, bool]:
+        """The cache-miss rungs: coalesce with an identical in-flight
+        request, or lead the flight through the executor and cache its
+        answer.  Returns ``(result, coalesced)``."""
+
+        def compute():
+            result = request.execute(self.executor, root)
+            # Partial answers are never cached: a later request must not be
+            # served yesterday's degradation as if it were complete.  The
+            # store is generation-guarded: a result an online update raced
+            # past is stale and is dropped.
+            if result.complete:
+                request.store(self.cache, sig, result, generation)
+            return result
+
+        if self.batcher is None:
+            return compute(), False
+        # wait_timeout enforces a follower's own budget when it joined a
+        # leader's flight late; follower_retry is the fairness half of the
+        # same rule — such a follower still has budget when the leader's
+        # deadline fires, so it goes around as a new leader instead of
+        # inheriting a miss it did not earn.
+        budget = (
+            request.deadline
+            if request.deadline is not None
+            else self.executor.default_deadline
+        )
+        flight_span = None if root is None else root.child("coalesce")
+        coalesced = False
+        try:
+            result, coalesced = self.batcher.run(
+                request.flight_key(sig, generation),
+                compute,
+                wait_timeout=budget,
+                follower_retry=_deadline_is_retryable,
+            )
+        finally:
+            if flight_span is not None:
+                flight_span.set("coalesced", coalesced)
+                flight_span.finish()
+        return result, coalesced
+
+    def _failed(self, trace, t0: float, kind, exc: BaseException) -> None:
+        """Observe one failed request: error counters and its trace."""
+        if isinstance(exc, AdmissionError):
+            self.metrics.observe_error("rejected", exc=exc)
+        elif isinstance(exc, DeadlineExceededError):
+            self.metrics.observe_error("deadline", exc=exc)
+        else:
+            self.metrics.observe_error(exc=exc)
         obs = self.observability
         obs.observe_error(exc)
-        obs.finish_trace(trace, seconds=time.perf_counter() - t0, error=exc)
-
-    def _trace_topk_error(self, trace, t0: float, exc: BaseException) -> None:
-        """Close out a failed top-k request's trace and error
-        instruments."""
-        obs = self.observability
-        obs.observe_error(exc)
-        obs.finish_topk_trace(
-            trace, seconds=time.perf_counter() - t0, error=exc
+        obs.finish_trace(
+            trace, seconds=time.perf_counter() - t0, error=exc, mode=kind.MODE
         )
 
     # -- online updates -----------------------------------------------------

@@ -1,7 +1,17 @@
-"""Shared fixtures: small deterministic graphs, datasets, and cost models."""
+"""Shared fixtures: small deterministic graphs, datasets, and cost models.
+
+Also a stdlib hang guard for machines without ``pytest-timeout``: the
+``timeout`` ini key (and the ``timeout(seconds)`` marker) then arm
+:func:`faulthandler.dump_traceback_later` around each test, so a hung
+test dumps every thread's traceback and ends the run instead of wedging
+it.  Where the plugin is installed it owns both and this guard is off.
+"""
 
 from __future__ import annotations
 
+import faulthandler
+import importlib.util
+import os
 import random
 
 import pytest
@@ -18,6 +28,44 @@ from repro.network.generators import grid_city
 from repro.network.graph import RoadNetwork
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.generator import TripGenerator
+
+
+if importlib.util.find_spec("pytest_timeout") is None:
+    _real_stderr = []
+
+    def pytest_addoption(parser):
+        parser.addini(
+            "timeout",
+            "per-test timeout in seconds (faulthandler fallback)",
+            default="0",
+        )
+
+    def pytest_configure(config):
+        # Captured while a test runs, fd 2 would swallow the dump: keep a
+        # copy of the terminal's stderr from before capture resumes.
+        _real_stderr.append(os.fdopen(os.dup(2), "w"))
+
+    def _hang_guard(item):
+        # Armed per phase, not per test: pytest's own faulthandler plugin
+        # cancels the timer when a test fails, and a hung teardown after a
+        # failed call must still end the run.
+        marker = item.get_closest_marker("timeout")
+        seconds = float(
+            marker.args[0] if marker is not None and marker.args
+            else item.config.getini("timeout")
+        )
+        if seconds > 0:
+            faulthandler.dump_traceback_later(
+                seconds, exit=True, file=_real_stderr[0]
+            )
+        try:
+            yield
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+
+    pytest_runtest_setup = pytest.hookimpl(hookwrapper=True)(_hang_guard)
+    pytest_runtest_call = pytest.hookimpl(hookwrapper=True)(_hang_guard)
+    pytest_runtest_teardown = pytest.hookimpl(hookwrapper=True)(_hang_guard)
 
 
 @pytest.fixture(scope="session")
